@@ -1,15 +1,12 @@
 package main
 
 // Serve-path measurement (-json "serve" section): search latency against a
-// standing discovery catalog, idle and under continuous concurrent ingest —
-// once on the live segmented copy-on-write catalog (searches pin an epoch
-// snapshot, never waiting on writers) and once under the pre-PR-4 locking
-// discipline (one global RWMutex, every write excluding every search),
-// reproduced over the identical corpus and scoring work. The ratios land in
-// BENCH_<n>.json so the trajectory records what the live catalog buys on
-// the hardware that produced the file. On a single-core runner both
-// under-ingest arms also pay pure CPU contention; the locked arm
-// additionally pays lock exclusion, which is the architectural difference.
+// standing discovery catalog, idle and under continuous concurrent ingest
+// on the live segmented copy-on-write catalog (searches pin an epoch
+// snapshot, never waiting on writers). The ratio lands in BENCH_<n>.json so
+// the trajectory records what concurrent ingest costs a search on the
+// hardware that produced the file; on a single-core runner that cost is
+// pure CPU contention.
 
 import (
 	"fmt"
@@ -39,11 +36,6 @@ type jsonServe struct {
 	LiveUnderIngestSearchMaxUS int64   `json:"live_under_ingest_search_max_us"`
 	LiveUnderIngestRatio       float64 `json:"live_under_ingest_ratio"`
 	LiveIngested               int     `json:"live_ingested_tables"`
-
-	LockedUnderIngestSearchUS    int64   `json:"globallock_under_ingest_search_us"`
-	LockedUnderIngestSearchMaxUS int64   `json:"globallock_under_ingest_search_max_us"`
-	LockedUnderIngestRatio       float64 `json:"globallock_under_ingest_ratio"`
-	LockedIngested               int     `json:"globallock_ingested_tables"`
 }
 
 func serveVals(prefix string, lo, hi int) []string {
@@ -62,8 +54,7 @@ func serveTable(name string, i int) *valentine.Table {
 }
 
 // measureServe builds a 150-table catalog and times a fixed search workload
-// in three arms: idle, under live-catalog ingest, and under ingest with the
-// global-RWMutex discipline.
+// in two arms: idle and under live-catalog ingest.
 func measureServe() (*jsonServe, error) {
 	const (
 		corpus      = 150
@@ -185,54 +176,12 @@ func measureServe() (*jsonServe, error) {
 	out.LiveUnderIngestSearchMaxUS = liveMax.Microseconds()
 	out.LiveIngested = n
 
-	// Arm 3: the same catalog behind one global RWMutex — the pre-live
-	// locking discipline, where each upsert excludes all searches. The old
-	// AddProfiled computed profiles before taking its lock, so the baseline
-	// profiles outside the exclusion window too: the contrast is the
-	// locking architecture, never extra work smuggled under the lock.
-	ix, err = build()
-	if err != nil {
-		return nil, err
-	}
-	var mu sync.RWMutex
-	stop = ingest(func(t *valentine.Table) error {
-		tp := valentine.ProfileTable(t)
-		for i := 0; i < tp.NumColumns(); i++ {
-			p := tp.Column(i)
-			p.Signature(128) // the suite default, matching this catalog's geometry
-			p.NameTokens()
-			p.Distinct()
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return ix.UpsertProfiled(tp)
-	})
-	locked, lockedMax, err := sweep(func() error {
-		mu.RLock()
-		defer mu.RUnlock()
-		_, err := ix.Search(query, valentine.DiscoverJoin, 5)
-		return err
-	})
-	n, ierr = stop()
-	ix.WaitCompaction()
-	if err != nil {
-		return nil, err
-	}
-	if ierr != nil {
-		return nil, ierr
-	}
-	out.LockedUnderIngestSearchUS = locked.Microseconds()
-	out.LockedUnderIngestSearchMaxUS = lockedMax.Microseconds()
-	out.LockedIngested = n
-
 	if idle > 0 {
 		out.LiveUnderIngestRatio = float64(live) / float64(idle)
-		out.LockedUnderIngestRatio = float64(locked) / float64(idle)
 	}
 	fmt.Fprintf(os.Stderr,
-		"serve latency (%d cpus): idle %dµs (max %dµs); under ingest live %dµs (%.2fx, max %dµs) vs global-lock %dµs (%.2fx, max %dµs)\n",
+		"serve latency (%d cpus): idle %dµs (max %dµs); under ingest %dµs (%.2fx, max %dµs)\n",
 		out.CPUs, out.IdleSearchUS, out.IdleSearchMaxUS,
-		out.LiveUnderIngestSearchUS, out.LiveUnderIngestRatio, out.LiveUnderIngestSearchMaxUS,
-		out.LockedUnderIngestSearchUS, out.LockedUnderIngestRatio, out.LockedUnderIngestSearchMaxUS)
+		out.LiveUnderIngestSearchUS, out.LiveUnderIngestRatio, out.LiveUnderIngestSearchMaxUS)
 	return out, nil
 }

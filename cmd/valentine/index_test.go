@@ -117,90 +117,71 @@ func TestDiscoverUnionScoresValueDisjointTables(t *testing.T) {
 	}
 }
 
-// TestIndexFormatAndMigrate: -format selects the persistence encoding and
-// -migrate re-encodes an existing index without touching CSVs; every
-// representation must answer the same search identically.
-func TestIndexFormatAndMigrate(t *testing.T) {
+// TestIndexWritesSnapshotDirectory: `valentine index` writes a snapshot
+// directory of v2 columnar segment files (no gob segments, no flat file),
+// -append upserts into it, and search answers from it. A plain file at -out
+// is refused, not overwritten.
+func TestIndexWritesSnapshotDirectory(t *testing.T) {
 	dir, queryPath := writeLake(t)
 	// Pad the lake past the default seal threshold (16 tables) so the
-	// snapshot formats actually write sealed segment files.
+	// snapshot holds sealed segment files as well as the memtable.
 	for i := 0; i < 16; i++ {
 		csv := fmt.Sprintf("fill_%02d_k,fill_%02d_v\nf%d-1,f%d-a\nf%d-2,f%d-b\n", i, i, i, i, i, i)
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("fill_%02d.csv", i)), []byte(csv), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base := t.TempDir()
-	flat := filepath.Join(base, "lake.idx")
-	v2dir := filepath.Join(base, "snap-v2")
-	v1dir := filepath.Join(base, "snap-v1")
-
+	idx := filepath.Join(t.TempDir(), "lake.idx")
 	out := captureStdout(t, func() error {
-		return cmdIndex([]string{"-dir", dir, "-out", flat})
+		return cmdIndex([]string{"-dir", dir, "-out", idx})
 	})
 	if !strings.Contains(out, "indexed 19 tables") {
 		t.Errorf("index output: %s", out)
 	}
-	// Flat → v2 snapshot directory, then v2 → v1.
-	out = captureStdout(t, func() error {
-		return cmdIndex([]string{"-migrate", flat, "-out", v2dir, "-format", "v2"})
-	})
-	if !strings.Contains(out, "migrated 19 tables") {
-		t.Errorf("migrate output: %s", out)
+	if m, _ := filepath.Glob(filepath.Join(idx, "seg-*.seg")); len(m) == 0 {
+		t.Error("index wrote no columnar segment files")
 	}
-	if m, _ := filepath.Glob(filepath.Join(v2dir, "seg-*.seg")); len(m) == 0 {
-		t.Error("v2 migration wrote no columnar segment files")
+	if m, _ := filepath.Glob(filepath.Join(idx, "*.gob")); len(m) != 1 || filepath.Base(m[0]) != "MANIFEST.gob" {
+		t.Errorf("gob files in the snapshot = %v, want only the manifest", m)
 	}
-	out = captureStdout(t, func() error {
-		return cmdIndex([]string{"-migrate", v2dir, "-out", v1dir, "-format", "v1"})
-	})
-	if !strings.Contains(out, "migrated 19 tables") {
-		t.Errorf("migrate output: %s", out)
-	}
-	if m, _ := filepath.Glob(filepath.Join(v1dir, "seg-*.gob")); len(m) == 0 {
-		t.Error("v1 migration wrote no gob segment files")
-	}
-
-	var want string
-	for _, idx := range []string{flat, v2dir, v1dir} {
-		got := captureStdout(t, func() error {
+	search := func() string {
+		return captureStdout(t, func() error {
 			return cmdSearch([]string{"-index", idx, "-query", queryPath, "-mode", "join", "-top", "5"})
 		})
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Errorf("search against %s diverged:\n got %s\nwant %s", idx, got, want)
-		}
-		if !strings.Contains(got, "crm_extract") {
-			t.Errorf("search against %s lost the joinable fragment:\n%s", idx, got)
-		}
+	}
+	before := search()
+	if !strings.Contains(before, "crm_extract") {
+		t.Errorf("search lost the joinable fragment:\n%s", before)
 	}
 
-	// Default format follows what -out already is: -append into the v2
-	// snapshot directory must keep it a snapshot directory.
 	extra := filepath.Join(dir, "extra.csv")
 	if err := os.WriteFile(extra, []byte("zz_id,zz_v\n1,a\n2,b\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out = captureStdout(t, func() error {
-		return cmdIndex([]string{"-dir", dir, "-out", v2dir, "-append"})
+		return cmdIndex([]string{"-dir", dir, "-out", idx, "-append"})
 	})
 	if !strings.Contains(out, "appended 20 tables") {
 		t.Errorf("append output: %s", out)
 	}
-	if _, err := os.Stat(filepath.Join(v2dir, "MANIFEST.gob")); err != nil {
-		t.Errorf("append flattened the snapshot directory: %v", err)
+	if _, err := os.Stat(filepath.Join(idx, "MANIFEST.gob")); err != nil {
+		t.Errorf("append left no snapshot manifest: %v", err)
+	}
+	// The appended table is searchable, and the original ranking survives.
+	after := search()
+	if !strings.Contains(after, "extra") || !strings.Contains(after, strings.Split(before, "\n")[1]) {
+		t.Errorf("search after append:\n%s\nbefore append:\n%s", after, before)
 	}
 
-	// Conflicting and invalid flag combinations fail loudly.
-	if err := cmdIndex([]string{"-migrate", flat, "-out", v1dir, "-append"}); err == nil {
-		t.Error("-migrate with -append should fail")
+	flat := filepath.Join(t.TempDir(), "old.idx")
+	if err := os.WriteFile(flat, []byte("single-file index"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := cmdIndex([]string{"-migrate", flat, "-out", v1dir, "-dir", dir}); err == nil {
-		t.Error("-migrate with -dir should fail")
+	if err := cmdIndex([]string{"-dir", dir, "-out", flat}); err == nil {
+		t.Error("index over a plain file at -out should fail")
 	}
-	if err := cmdIndex([]string{"-dir", dir, "-out", flat, "-format", "v3"}); err == nil {
-		t.Error("unknown -format should fail")
+	if err := cmdSearch([]string{"-index", flat, "-query", queryPath}); err == nil || !strings.Contains(err.Error(), "valentine index") {
+		t.Errorf("search against a plain file: err = %v, want the rebuild hint", err)
 	}
 }
 

@@ -205,7 +205,7 @@ func TestIndexAppend(t *testing.T) {
 	}
 
 	// The appended index serves both old and new content.
-	ix, err := discovery.LoadFile(idxPath)
+	ix, err := discovery.LoadSnapshot(idxPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestServeRejectsCatalogFlagsOnLoad(t *testing.T) {
 	}
 	// Resuming from an existing snapshot dir conflicts the same way.
 	snap := filepath.Join(t.TempDir(), "snap")
-	ix, err := discovery.LoadFile(idxPath)
+	ix, err := discovery.LoadSnapshot(idxPath)
 	if err != nil {
 		t.Fatal(err)
 	}

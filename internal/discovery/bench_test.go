@@ -1,10 +1,7 @@
 package discovery
 
 // Search-latency-under-ingest benches: the acceptance criterion of the live
-// catalog is that a search never blocks on a writer. The GlobalLock variants
-// reproduce the pre-segmentation locking discipline — one RWMutex where
-// every write excludes every search — over the same scoring work, so the
-// live-vs-locked contrast isolates the architecture, not the workload.
+// catalog is that a search never blocks on a writer.
 
 import (
 	"fmt"
@@ -38,35 +35,6 @@ func benchTable(name string, i int) *table.Table {
 	return table.New(name).
 		AddColumn("cust", vals("u", i*7, i*7+400)).
 		AddColumn("town", vals("c", i*5, i*5+400))
-}
-
-// globalLockIndex wraps the catalog in the old locking discipline: searches
-// share a read lock, every ingest takes the write lock — so one write
-// stalls all searches behind it (and is itself stalled by running ones).
-type globalLockIndex struct {
-	mu sync.RWMutex
-	ix *Index
-}
-
-func (g *globalLockIndex) Search(q *table.Table, mode Mode, k int) ([]Result, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.ix.Search(q, mode, k)
-}
-
-func (g *globalLockIndex) UpsertProfiled(tp *profile.TableProfile) error {
-	// The old AddProfiled computed profiles before taking its lock; the
-	// baseline must do the same — exactly the artifacts ingestion reads,
-	// no more — or the contrast would mismeasure the old discipline.
-	for i := 0; i < tp.NumColumns(); i++ {
-		p := tp.Column(i)
-		p.Signature(g.ix.k)
-		p.NameTokens()
-		p.Distinct()
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.ix.UpsertProfiled(tp)
 }
 
 // ingester churns upserts in a background goroutine until the returned stop
@@ -121,25 +89,6 @@ func BenchmarkSearchUnderIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.Search(q, ModeJoin, 5); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	ingested := stop()
-	ix.WaitCompaction()
-	b.ReportMetric(float64(ingested)/float64(b.N), "upserts/search")
-}
-
-// BenchmarkSearchUnderIngestGlobalLock is the same workload under the old
-// discipline: every upsert excludes every search on one RWMutex, so search
-// latency inherits the writer's critical sections.
-func BenchmarkSearchUnderIngestGlobalLock(b *testing.B) {
-	ix, q, churn := benchCorpus(b, 150)
-	g := &globalLockIndex{ix: ix}
-	stop := ingester(b, churn, g.UpsertProfiled)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Search(q, ModeJoin, 5); err != nil {
 			b.Fatal(err)
 		}
 	}

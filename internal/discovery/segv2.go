@@ -1,11 +1,13 @@
 package discovery
 
-// The v2 sealed-segment on-disk format: one columnar file per segment,
-// little-endian, fixed-width sections, designed so a reader never decodes —
-// it validates the section table once and then serves every search, LSH
-// probe and kernel call as slice views straight over the file bytes
-// (typically an mmap of the page cache; see mmap_linux.go for the mapping
-// and mmap_fallback.go for the portable heap-read arm).
+// The v2 segment on-disk format, the only one a snapshot uses: one
+// columnar file per sealed segment and one for the memtable, little-endian,
+// fixed-width sections, designed so a reader never decodes — it validates
+// the section table once and then serves every search, LSH probe and
+// kernel call as slice views straight over the file bytes (typically an
+// mmap of the page cache; see mmap_linux.go for the mapping and
+// mmap_fallback.go for the portable heap-read arm). The memtable file is
+// read through the heap-read arm and rebuilt into a mutable heap segment.
 //
 // Layout (all offsets from file start, every section 8-byte aligned):
 //

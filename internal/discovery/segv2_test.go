@@ -1,10 +1,10 @@
 package discovery
 
-// v2 columnar segment tests: the exactness contract (mapped search ≡ heap
-// search ≡ v1-loaded search, bit-identical results after arbitrary
-// mutation interleavings), the corruption contract (named errors, never a
-// panic, crash tails ignored), and the zero-copy contract (kernel probes
-// against mapped sets at 0 allocs/op).
+// v2 columnar segment tests: the exactness contract (original ≡ mapped ≡
+// heap-read search, bit-identical results after arbitrary mutation
+// interleavings), the corruption contract (named errors, never a panic,
+// crash tails ignored — see also FuzzOpenSegV2), and the zero-copy contract
+// (kernel probes against mapped sets at 0 allocs/op).
 
 import (
 	"errors"
@@ -13,33 +13,18 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
+	"unsafe"
 
 	"valentine/internal/intern"
 	"valentine/internal/table"
 )
 
-// saveBothFormats snapshots ix to fresh v1 and v2 directories under base.
-func saveBothFormats(t *testing.T, ix *Index, base string) (v1dir, v2dir string) {
-	t.Helper()
-	v1dir = filepath.Join(base, "v1")
-	v2dir = filepath.Join(base, "v2")
-	if err := ix.SaveSnapshotFormat(v1dir, SegmentFormatV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SaveSnapshotFormat(v2dir, SegmentFormatV2); err != nil {
-		t.Fatal(err)
-	}
-	return v1dir, v2dir
-}
-
-// TestSegV2RandomizedConformance is the tentpole's acceptance criterion:
-// after an arbitrary interleaving of Add/Upsert/Remove/Compact, a catalog
-// snapshotted in both formats and loaded three ways — v1 gob (heap), v2
-// mapped, v2 heap-read fallback — answers every search bit-identically to
-// the original, full Result structs included. Runs under -race in CI's
-// serving leg.
+// TestSegV2RandomizedConformance: after an arbitrary interleaving of
+// Add/Upsert/Remove/Compact, a snapshotted catalog loaded two ways — mapped
+// and heap-read fallback — answers every search bit-identically to the
+// original, full Result structs included. Runs under -race in CI's serving
+// leg.
 func TestSegV2RandomizedConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	makeTable := func(name string) *table.Table {
@@ -61,22 +46,21 @@ func TestSegV2RandomizedConformance(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
-		ix.WaitCompaction() // freeze the layout both snapshots must share
-		v1dir, v2dir := saveBothFormats(t, ix, filepath.Join(t.TempDir(), fmt.Sprintf("s%d", step)))
-		fromV1, err := LoadSnapshot(v1dir)
-		if err != nil {
-			t.Fatalf("step %d: load v1: %v", step, err)
+		ix.WaitCompaction() // freeze the layout the snapshot must share with ix
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%d", step))
+		if err := ix.SaveSnapshot(dir); err != nil {
+			t.Fatalf("step %d: save: %v", step, err)
 		}
-		mapped, err := loadSnapshot(v2dir, false)
+		mapped, err := loadSnapshot(dir, false)
 		if err != nil {
-			t.Fatalf("step %d: load v2 mapped: %v", step, err)
+			t.Fatalf("step %d: load mapped: %v", step, err)
 		}
 		defer mapped.Close()
-		heap, err := loadSnapshot(v2dir, true)
+		heap, err := loadSnapshot(dir, true)
 		if err != nil {
-			t.Fatalf("step %d: load v2 heap: %v", step, err)
+			t.Fatalf("step %d: load heap: %v", step, err)
 		}
-		loads := map[string]*Index{"v1": fromV1, "v2-mapped": mapped, "v2-heap": heap}
+		loads := map[string]*Index{"mapped": mapped, "heap": heap}
 		for qi := 0; qi < 3; qi++ {
 			q := makeTable("query")
 			for _, mode := range []Mode{ModeJoin, ModeUnion} {
@@ -139,14 +123,13 @@ func TestSegV2RandomizedConformance(t *testing.T) {
 	check(steps)
 }
 
-// buildV2Snapshot builds a small multi-segment catalog and snapshots it in
-// v2 format, returning the index, the directory, and the first sealed
-// segment file's path.
+// buildV2Snapshot builds a small multi-segment catalog and snapshots it,
+// returning the index and the snapshot directory.
 func buildV2Snapshot(t *testing.T) (*Index, string) {
 	t.Helper()
 	ix := liveCatalog(t)
 	dir := filepath.Join(t.TempDir(), "snap")
-	if err := ix.SaveSnapshotFormat(dir, SegmentFormatV2); err != nil {
+	if err := ix.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
 	return ix, dir
@@ -383,78 +366,48 @@ func TestMappedKernelProbesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatMigration: v1 → v2 → v1 in place, each save rewriting
-// the segment files into the requested encoding, pruning the other's, and
-// round-tripping searches exactly.
-func TestSnapshotFormatMigration(t *testing.T) {
-	ix := liveCatalog(t)
-	dir := filepath.Join(t.TempDir(), "snap")
-	want, err := ix.Search(snapshotQuery(), ModeJoin, 0)
-	if err != nil {
-		t.Fatal(err)
+// alignedCopy copies b into an 8-byte-aligned buffer, the alignment
+// openSegV2 requires of mmap and heap-read input alike.
+func alignedCopy(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
 	}
-	countFiles := func() (gob, seg int) {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if !strings.HasPrefix(e.Name(), "seg-") {
-				continue
-			}
-			switch {
-			case strings.HasSuffix(e.Name(), ".gob"):
-				gob++
-			case strings.HasSuffix(e.Name(), ".seg"):
-				seg++
-			}
-		}
-		return gob, seg
-	}
-	step := func(format string, wantGob, wantSeg bool) *Index {
-		t.Helper()
-		cur, err := LoadSnapshot(dir)
-		if err != nil {
-			t.Fatalf("%s: reload: %v", format, err)
-		}
-		if err := cur.SaveSnapshotFormat(dir, format); err != nil {
-			t.Fatalf("%s: save: %v", format, err)
-		}
-		gob, seg := countFiles()
-		if (gob > 0) != wantGob || (seg > 0) != wantSeg {
-			t.Fatalf("%s: %d gob / %d seg segment files on disk", format, gob, seg)
-		}
-		cur.Close()
-		re, err := LoadSnapshot(dir)
-		if err != nil {
-			t.Fatalf("%s: load after migrate: %v", format, err)
-		}
-		got, err := re.Search(snapshotQuery(), ModeJoin, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: search diverged after migration:\n got %+v\nwant %+v", format, got, want)
-		}
-		return re
-	}
-	if err := ix.SaveSnapshotFormat(dir, SegmentFormatV1); err != nil {
-		t.Fatal(err)
-	}
-	step(SegmentFormatV2, false, true).Close()
-	step(SegmentFormatV1, true, false).Close()
-	// Unknown formats are rejected before touching the directory.
-	if err := ix.SaveSnapshotFormat(dir, "v3"); err == nil {
-		t.Error("unknown segment format accepted")
-	}
+	words := make([]uint64, (len(b)+7)/8)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(b))
+	copy(out, b)
+	return out
 }
 
-// TestLoadFileNamesRawSegmentFiles: pointing LoadFile at a bare .seg file
-// produces the targeted error, not a gob decode failure.
-func TestLoadFileNamesRawSegmentFiles(t *testing.T) {
-	_, dir := buildV2Snapshot(t)
-	_, err := LoadFile(firstSegFile(t, dir))
-	if err == nil || !strings.Contains(err.Error(), "raw v2 segment file") {
-		t.Fatalf("error = %v, want the raw-segment-file explanation", err)
-	}
+// FuzzOpenSegV2 drives the only segment decoder with arbitrary bytes. The
+// checked-in corpus (testdata/fuzz/FuzzOpenSegV2) holds a valid sealed
+// segment, a valid memtable-shaped segment, a truncated file, a bad-magic
+// file and a corrupt section table; plain `go test` runs those seeds. A
+// file is either rejected with one of the named errors or, once it
+// validates, materializes every column and answers every probe without
+// panicking.
+func FuzzOpenSegV2(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := openSegV2(alignedCopy(data), nil)
+		if err != nil {
+			if !errors.Is(err, ErrSegmentMagic) && !errors.Is(err, ErrSegmentTruncated) && !errors.Is(err, ErrSegmentCorrupt) {
+				t.Fatalf("unnamed error: %v", err)
+			}
+			return
+		}
+		seg := &segment{mapped: m}
+		for c := 0; c < m.numCols(); c++ {
+			if p := m.colProfile(int32(c)); len(p.Signature) != m.k {
+				t.Fatalf("column %d: %d-slot signature, header says k=%d", c, len(p.Signature), m.k)
+			}
+		}
+		for _, name := range seg.tableNames() {
+			seg.tableProfiles(name)
+		}
+		for b := 0; b < m.bands; b++ {
+			for _, key := range m.bandKeys[m.keyStart[b]:m.keyStart[b+1]] {
+				seg.probe(b, key)
+			}
+			seg.probe(b, 0)
+		}
+	})
 }

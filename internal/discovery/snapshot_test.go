@@ -173,7 +173,7 @@ func TestSnapshotIsIncremental(t *testing.T) {
 }
 
 // TestSnapshotCrashOrphanNotAdopted: a crash between writing segment files
-// and the manifest leaves orphan seg-<id>.gob files. Their ids must never
+// and the manifest leaves orphan seg-<id>.seg files. Their ids must never
 // be reallocated — otherwise a later SaveSnapshot's "file exists → skip"
 // fast path would adopt the stale orphan — and the next successful
 // snapshot prunes them.
@@ -190,7 +190,7 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 		Table: "ghost", Column: "k", Rows: 1, Distinct: 1,
 		Signature: make([]uint64, ix.k),
 	}}, ix.rows)
-	if err := writeGob(faultfs.OS, filepath.Join(dir, segFileName(9)), segToFile(ghost)); err != nil {
+	if err := writeSegV2(faultfs.OS, filepath.Join(dir, segFileName(9)), ghost, ix.k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -237,7 +237,7 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 // them via the incremental fast path.
 func TestSnapshotForeignDirectoryOverwritten(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
-	a := New(Options{SealAfter: 1}) // every add seals → seg-0.gob exists
+	a := New(Options{SealAfter: 1}) // every add seals → seg-0.seg exists
 	if err := a.Add(table.New("old_table").AddColumn("k", vals("a", 0, 30))); err != nil {
 		t.Fatal(err)
 	}
@@ -271,53 +271,5 @@ func TestSnapshotForeignDirectoryOverwritten(t *testing.T) {
 	}
 	if got := strings.Join(re.Tables(), ","); got != "extra,new_table" {
 		t.Fatalf("tables after incremental save = %s", got)
-	}
-}
-
-func TestLoadFileDetectsBothFormats(t *testing.T) {
-	ix := liveCatalog(t)
-	base := t.TempDir()
-	// Single-file format.
-	flat := filepath.Join(base, "lake.idx")
-	if err := ix.SaveFile(flat); err != nil {
-		t.Fatal(err)
-	}
-	fromFlat, err := LoadFile(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot-directory format.
-	dir := filepath.Join(base, "snapdir")
-	if err := ix.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	fromSnap, err := LoadFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := snapshotQuery()
-	want, err := ix.Search(q, ModeJoin, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, loaded := range map[string]*Index{"flat": fromFlat, "snapshot": fromSnap} {
-		got, err := loaded.Search(q, ModeJoin, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: search diverged:\n got %+v\nwant %+v", name, got, want)
-		}
-	}
-	// The flat format drops tombstones and segment layout (it is an
-	// offline compaction); the snapshot format preserves them.
-	if st := fromFlat.Stats(); st.Tombstones != 0 {
-		t.Errorf("flat format preserved tombstones: %+v", st)
-	}
-	if st, want := normalizeResidency(fromSnap.Stats()), normalizeResidency(ix.Stats()); st != want {
-		t.Errorf("snapshot stats = %+v, want %+v", st, want)
-	}
-	if _, err := LoadSnapshot(filepath.Join(base, "absent")); err == nil {
-		t.Error("loading a missing snapshot should fail")
 	}
 }
