@@ -239,7 +239,7 @@ func BenchmarkMatcher(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Match(pair.Source, pair.Target); err != nil {
+				if _, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -295,7 +295,7 @@ func BenchmarkAblationSFFormula(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := m.Match(pair.Source, pair.Target)
+				ms, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -322,7 +322,7 @@ func BenchmarkAblationEmbDIDims(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := m.Match(pair.Source, pair.Target)
+				ms, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -372,7 +372,7 @@ func BenchmarkAblationComaLibrary(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := m.Match(pair.Source, pair.Target)
+				ms, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -404,7 +404,7 @@ func BenchmarkAblationExactVsLSH(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := m.Match(pair.Source, pair.Target)
+				ms, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -436,7 +436,7 @@ func BenchmarkAblationEnsembleFusion(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := e.Match(pair.Source, pair.Target)
+				ms, err := core.MatchWithContext(context.Background(), e, nil, pair.Source, pair.Target)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -498,7 +498,7 @@ func bruteDiscoverTopK(b *testing.B, m Matcher, query *Table, corpus []*Table, k
 	}
 	ranked := make([]cand, 0, len(corpus))
 	for _, t := range corpus {
-		matches, err := m.Match(query, t)
+		matches, err := core.MatchWithContext(context.Background(), m, nil, query, t)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -639,7 +639,7 @@ func BenchmarkEnsemblePerMemberProfiling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range members {
-			if _, err := m.Match(pair.Source, pair.Target); err != nil {
+			if _, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -656,7 +656,7 @@ func BenchmarkEnsembleSharedProfiles(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Match(pair.Source, pair.Target); err != nil {
+		if _, err := core.MatchWithContext(context.Background(), e, nil, pair.Source, pair.Target); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -675,7 +675,7 @@ func BenchmarkEnsembleWarmStore(b *testing.B) {
 	sp, tp := store.Of(pair.Source), store.Of(pair.Target)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MatchWithProfiles(e, sp, tp); err != nil {
+		if _, err := core.MatchProfilesWithContext(context.Background(), e, sp, tp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -683,7 +683,7 @@ func BenchmarkEnsembleWarmStore(b *testing.B) {
 
 // BenchmarkDiscoverRescoreColdProfiles is discover's re-scoring phase
 // before the profile layer: every corpus table — and the query, every time
-// — is re-profiled inside each Match call.
+// — is re-profiled inside each match call.
 func BenchmarkDiscoverRescoreColdProfiles(b *testing.B) {
 	query, corpus := discoveryBenchCorpus(b)
 	m, err := NewMatcher(MethodLSH, nil)
@@ -693,7 +693,7 @@ func BenchmarkDiscoverRescoreColdProfiles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range corpus {
-			if _, err := m.Match(query, t); err != nil {
+			if _, err := core.MatchWithContext(context.Background(), m, nil, query, t); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -714,7 +714,7 @@ func BenchmarkDiscoverRescoreWarmStore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range corpus {
-			if _, err := MatchWithProfiles(m, store.Of(query), store.Of(t)); err != nil {
+			if _, err := core.MatchProfilesWithContext(context.Background(), m, store.Of(query), store.Of(t)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -210,7 +210,7 @@ func runMatcher(fs *flag.FlagSet, args []string) (matches []core.Match, method s
 	if err != nil {
 		return
 	}
-	matches, err = m.Match(src, tgt)
+	matches, err = core.MatchWithContext(context.Background(), m, nil, src, tgt)
 	return
 }
 

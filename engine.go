@@ -28,11 +28,6 @@ type Stats = engine.Stats
 // StatsSnapshot is a point-in-time copy of a Stats collector.
 type StatsSnapshot = engine.Snapshot
 
-// ContextMatcher is implemented by every built-in matcher and the ensemble:
-// one context-aware scoring path honoring deadlines, cancellation, engine
-// options and stats from ctx.
-type ContextMatcher = core.ContextMatcher
-
 // WithEngineOptions returns a context carrying opts; every engine-routed
 // call below it (MatchWithContext, DiscoveryIndex.SearchContext, ensemble
 // members, ...) picks its parallelism up from the nearest options.
@@ -50,7 +45,7 @@ func WithEngineStats(ctx context.Context) (context.Context, *Stats) {
 // MatchWithContext runs m over the pair through the engine: opts.Deadline
 // (and ctx's own deadline or cancellation) aborts scoring mid-pipeline,
 // opts.Parallelism fans independent scoring units out on a bounded pool,
-// and the ranked result is bit-identical to m.Match at any parallelism.
+// and the ranked result is bit-identical at any parallelism.
 func MatchWithContext(ctx context.Context, m Matcher, source, target *Table, opts EngineOptions) ([]Match, error) {
 	ctx, cancel := opts.Start(ctx)
 	defer cancel()
@@ -58,8 +53,9 @@ func MatchWithContext(ctx context.Context, m Matcher, source, target *Table, opt
 }
 
 // MatchProfilesWithContext is MatchWithContext over already-profiled tables
-// (see ProfileStore): engine options and stats are taken from ctx, so wrap
-// it with WithEngineOptions / WithEngineStats as needed.
+// (see ProfileStore), so a warmed store's cached derived data is reused:
+// engine options and stats are taken from ctx, so wrap it with
+// WithEngineOptions / WithEngineStats as needed.
 func MatchProfilesWithContext(ctx context.Context, m Matcher, source, target *TableProfile) ([]Match, error) {
 	return core.MatchProfilesWithContext(ctx, m, source, target)
 }

@@ -1,6 +1,7 @@
 package valentine_test
 
 import (
+	"context"
 	"fmt"
 
 	"valentine"
@@ -18,7 +19,7 @@ func ExampleNewMatcher() {
 	if err != nil {
 		panic(err)
 	}
-	matches, err := m.Match(pair.Source, pair.Target)
+	matches, err := valentine.MatchWithContext(context.Background(), m, pair.Source, pair.Target, valentine.EngineOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -66,7 +67,7 @@ func main() {
 	}
 	var results []ranked
 	for _, entry := range lake {
-		matches, err := m.Match(query, entry.table)
+		matches, err := valentine.MatchWithContext(context.Background(), m, query, entry.table, valentine.EngineOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

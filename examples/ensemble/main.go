@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func main() {
 		fmt.Printf("%-22s", name)
 		for _, s := range scenarios {
 			p := pairs[s]
-			matches, err := contenders[name].Match(p.Source, p.Target)
+			matches, err := valentine.MatchWithContext(context.Background(), contenders[name], p.Source, p.Target, valentine.EngineOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		matches, err := m.Match(pair.Source, pair.Target)
+		matches, err := valentine.MatchWithContext(context.Background(), m, pair.Source, pair.Target, valentine.EngineOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			matches, err := m.Match(s.pair.Source, s.pair.Target)
+			matches, err := valentine.MatchWithContext(context.Background(), m, s.pair.Source, s.pair.Target, valentine.EngineOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -108,14 +108,6 @@ func NewProfileStore() *ProfileStore { return profile.NewStore() }
 // profile.
 func ProfileTable(t *Table) *TableProfile { return profile.New(t) }
 
-// MatchWithProfiles runs a matcher over profiled tables: profile-aware
-// matchers (all nine built-in methods and the ensemble) reuse the cached
-// derived data; any other Matcher implementation falls back to plain Match.
-// Scores are identical to m.Match on the profiles' tables.
-func MatchWithProfiles(m Matcher, source, target *TableProfile) ([]Match, error) {
-	return core.MatchWith(m, source, target)
-}
-
 // EstimateJaccard estimates the Jaccard similarity of two columns' value
 // sets from their MinHash signatures (see TableProfile column Signature);
 // signatures must share one length.

@@ -21,7 +21,7 @@ import (
 // profile signals (interned value overlap, name tokens, type coverage).
 //
 // Admissibility contract: for every pair of profiled tables,
-// ScoreBoundProfiles(s, t) >= the maximum Match score the matcher can emit
+// ScoreBoundProfiles(s, t) >= the maximum score the matcher can emit
 // for any column pair of (s, t), and >= any discovery aggregate of those
 // scores that is itself bounded by the per-pair maximum (both the join
 // best-match and the union mean-of-best aggregates are). Overestimating is
@@ -29,8 +29,8 @@ import (
 // planner's exactness contract and is a bug.
 type ScoreBounder interface {
 	// ScoreBoundProfiles returns the admissible upper bound. It must be
-	// cheap relative to a full MatchProfiles call and must not mutate the
-	// profiles beyond warming their lazy caches.
+	// cheap relative to a full MatchProfilesContext call and must not mutate
+	// the profiles beyond warming their lazy caches.
 	ScoreBoundProfiles(source, target *profile.TableProfile) float64
 }
 
@@ -74,10 +74,10 @@ func MatchCost(m Matcher) float64 {
 // members by cost, or jaccard-levenshtein pruning column pairs against a
 // top-k cutoff).
 type CascadeMatcher interface {
-	// MatchCascade ranks correspondences like MatchProfiles but may prune
-	// losslessly against the top-k cutoff and may stop early on budget
+	// MatchCascade ranks correspondences like MatchProfilesContext but may
+	// prune losslessly against the top-k cutoff and may stop early on budget
 	// expiry. With k <= 0 and a generous context it must return exactly
-	// MatchProfiles' output. bestEffort reports whether the result was
+	// MatchProfilesContext's output. bestEffort reports whether the result was
 	// truncated by the context deadline (budget semantics: expired budget
 	// is a flag, not an error).
 	MatchCascade(ctx context.Context, source, target *profile.TableProfile, k int) (matches []Match, bestEffort bool, err error)

@@ -7,29 +7,6 @@ import (
 	"valentine/internal/table"
 )
 
-// ContextMatcher is the context-aware extension of Matcher: one scoring path
-// that honors ctx deadlines and cancellation mid-scoring, picks its
-// parallelism and stats collector up from the context (internal/engine), and
-// resolves column profiles through a shared store. MatchContext must rank
-// exactly as Match does — the engine changes how work executes, never what
-// it computes. All nine built-in matchers and the ensemble implement it.
-type ContextMatcher interface {
-	Matcher
-	// MatchContext ranks column correspondences between source and target,
-	// profiling both through store (nil store means one-shot private
-	// profiles, as plain Match uses).
-	MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]Match, error)
-}
-
-// ProfiledContextMatcher is the profile-level face of the same path, used
-// where the caller already holds TableProfiles (the ensemble's members, the
-// experiment runner's warmed pairs, discover's re-scoring phase).
-type ProfiledContextMatcher interface {
-	// MatchProfilesContext ranks column correspondences between the profiled
-	// source and target tables under ctx.
-	MatchProfilesContext(ctx context.Context, source, target *profile.TableProfile) ([]Match, error)
-}
-
 // ProfilePair resolves a table pair's profiles through store; a nil store
 // yields fresh one-shot profiles private to the call, sharing one private
 // value dictionary so even the store-less path scores on the integer-set
@@ -41,19 +18,16 @@ func ProfilePair(store *profile.Store, source, target *table.Table) (*profile.Ta
 	return store.Of(source), store.Of(target)
 }
 
-// MatchWithContext runs m under ctx through the best path it implements:
-// the context-aware engine path when m is a ContextMatcher, otherwise the
-// profile-aware or plain path with a cancellation check up front. Scores are
-// identical on every path.
+// MatchWithContext runs m over a plain table pair under ctx: a cancellation
+// check up front, then the pair is profiled through store (nil store means
+// one-shot private profiles) and scored. Scores are identical whichever
+// store profiles the pair.
 func MatchWithContext(ctx context.Context, m Matcher, store *profile.Store, source, target *table.Table) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cm, ok := m.(ContextMatcher); ok {
-		return cm.MatchContext(ctx, store, source, target)
-	}
 	sp, tp := ProfilePair(store, source, target)
-	return MatchWith(m, sp, tp)
+	return m.MatchProfilesContext(ctx, sp, tp)
 }
 
 // MatchProfilesWithContext is MatchWithContext over already-profiled tables.
@@ -61,8 +35,14 @@ func MatchProfilesWithContext(ctx context.Context, m Matcher, source, target *pr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if pcm, ok := m.(ProfiledContextMatcher); ok {
-		return pcm.MatchProfilesContext(ctx, source, target)
+	return m.MatchProfilesContext(ctx, source, target)
+}
+
+// ValidatePair validates both profiled tables — the shared preamble of
+// every MatchProfilesContext implementation.
+func ValidatePair(source, target *profile.TableProfile) error {
+	if err := source.Table().Validate(); err != nil {
+		return err
 	}
-	return MatchWith(m, source, target)
+	return target.Table().Validate()
 }

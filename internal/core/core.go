@@ -1,13 +1,15 @@
 // Package core defines the matcher abstraction at the heart of Valentine:
-// matchers consume a pair of tables and emit a ranked list of column
+// matchers consume a pair of profiled tables and emit a ranked list of column
 // correspondences. It also carries the ground-truth representation produced
 // by the fabricator and the capability taxonomy of Table I of the paper.
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
+	"valentine/internal/profile"
 	"valentine/internal/table"
 )
 
@@ -27,12 +29,19 @@ func (m Match) String() string {
 }
 
 // Matcher is a schema matching method adapted to dataset discovery: it
-// returns a ranked list of matches rather than a 1-1 assignment.
+// returns a ranked list of matches rather than a 1-1 assignment. It scores
+// profiled tables, so derived column data comes from a shared profile.Store
+// or from one-shot profiles; callers holding plain tables use
+// MatchWithContext. Implementations honor ctx cancellation mid-scoring and
+// take parallelism and stats from it (internal/engine), which changes how
+// work executes, never what it computes. ScoreBounder, Coster and
+// CascadeMatcher are optional planner hooks.
 type Matcher interface {
 	// Name identifies the method (e.g. "coma-schema").
 	Name() string
-	// Match ranks column correspondences between source and target.
-	Match(source, target *table.Table) ([]Match, error)
+	// MatchProfilesContext ranks column correspondences between the profiled
+	// source and target tables under ctx.
+	MatchProfilesContext(ctx context.Context, source, target *profile.TableProfile) ([]Match, error)
 }
 
 // SortMatches orders matches by descending score, breaking ties

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
-	"valentine/internal/table"
+	"valentine/internal/profile"
 )
 
 func TestSortMatchesDeterministic(t *testing.T) {
@@ -86,7 +87,7 @@ func TestParams(t *testing.T) {
 type fakeMatcher struct{ name string }
 
 func (f fakeMatcher) Name() string { return f.name }
-func (f fakeMatcher) Match(s, tt *table.Table) ([]Match, error) {
+func (f fakeMatcher) MatchProfilesContext(context.Context, *profile.TableProfile, *profile.TableProfile) ([]Match, error) {
 	return nil, nil
 }
 
@@ -103,6 +104,12 @@ func TestRegistry(t *testing.T) {
 	}
 	if err := r.Register("", nil); err == nil {
 		t.Error("empty name should fail")
+	}
+	if err := r.Register("nilfactory", nil); err == nil {
+		t.Error("nil factory should fail")
+	}
+	if _, err := r.New("nilfactory", nil); err == nil {
+		t.Error("a rejected nil factory must not be instantiable")
 	}
 	m, err := r.New("fake", nil)
 	if err != nil || m.Name() != "fake" {

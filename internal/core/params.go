@@ -97,10 +97,13 @@ func NewRegistry() *Registry {
 }
 
 // Register adds a factory under a unique name with its Table-I capability
-// tags; duplicate registration is an error.
+// tags; duplicate registration and a nil factory are errors.
 func (r *Registry) Register(name string, f Factory, caps ...Capability) error {
 	if name == "" {
 		return fmt.Errorf("core: empty matcher name")
+	}
+	if f == nil {
+		return fmt.Errorf("core: matcher %q has a nil factory", name)
 	}
 	if _, dup := r.factories[name]; dup {
 		return fmt.Errorf("core: matcher %q already registered", name)

@@ -37,7 +37,7 @@
 //     garbage or fragmentation accumulates.
 //
 // Ingestion and queries run through the shared lazy column-profile layer
-// (internal/profile): AddProfiled and SearchProfiled accept an
+// (internal/profile): AddProfiled and SearchProfiledContext accept an
 // already-profiled table so a corpus warmed once in a profile.Store is
 // never re-profiled here — the same distinct sets, name tokens and MinHash
 // signatures the matchers consume feed the index.
@@ -441,7 +441,7 @@ type Result struct {
 // Search is lock-free: it reads the epoch snapshot current at its start and
 // never observes, nor waits for, concurrent writers.
 func (ix *Index) Search(q *table.Table, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(context.Background(), ix.queryProfile(q), mode, k, false)
+	out, _, err := ix.search(context.Background(), ix.queryProfile(q), mode, k, false, false)
 	return out, err
 }
 
@@ -451,7 +451,7 @@ func (ix *Index) Search(q *table.Table, mode Mode, k int) ([]Result, error) {
 // abandons the partial search and returns ctx.Err() promptly. Results are
 // bit-identical to Search's at any parallelism.
 func (ix *Index) SearchContext(ctx context.Context, q *table.Table, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(ctx, ix.queryProfile(q), mode, k, false)
+	out, _, err := ix.search(ctx, ix.queryProfile(q), mode, k, false, false)
 	return out, err
 }
 
@@ -460,19 +460,14 @@ func (ix *Index) SearchContext(ctx context.Context, q *table.Table, mode Mode, k
 // value safe to correlate with Stats().Epoch or mutation responses
 // (sampling Epoch() around the call can race past an intervening publish).
 func (ix *Index) SearchContextEpoch(ctx context.Context, q *table.Table, mode Mode, k int) ([]Result, uint64, error) {
-	return ix.search(ctx, ix.queryProfile(q), mode, k, false)
+	return ix.search(ctx, ix.queryProfile(q), mode, k, false, false)
 }
 
-// SearchProfiled is Search over an already-profiled query: repeated queries
-// with the same profile never recompute signatures or name tokens.
-func (ix *Index) SearchProfiled(qp *profile.TableProfile, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(context.Background(), qp, mode, k, false)
-	return out, err
-}
-
-// SearchProfiledContext is SearchContext over an already-profiled query.
+// SearchProfiledContext is SearchContext over an already-profiled query:
+// repeated queries with the same profile never recompute signatures or name
+// tokens.
 func (ix *Index) SearchProfiledContext(ctx context.Context, qp *profile.TableProfile, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(ctx, qp, mode, k, false)
+	out, _, err := ix.search(ctx, qp, mode, k, false, false)
 	return out, err
 }
 
@@ -480,7 +475,7 @@ func (ix *Index) SearchProfiledContext(ctx context.Context, qp *profile.TablePro
 // bypassing the LSH shards. It is the reference implementation Search is
 // tested against, and the honest baseline for benchmarks.
 func (ix *Index) SearchBruteForce(q *table.Table, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(context.Background(), ix.queryProfile(q), mode, k, true)
+	out, _, err := ix.search(context.Background(), ix.queryProfile(q), mode, k, true, false)
 	return out, err
 }
 
@@ -489,7 +484,7 @@ func (ix *Index) SearchBruteForce(q *table.Table, mode Mode, k int) ([]Result, e
 // need its deadline and cancellation honored mid-sweep too. Returns the
 // pinned snapshot's epoch like SearchContextEpoch.
 func (ix *Index) SearchBruteForceContext(ctx context.Context, q *table.Table, mode Mode, k int) ([]Result, uint64, error) {
-	return ix.search(ctx, ix.queryProfile(q), mode, k, true)
+	return ix.search(ctx, ix.queryProfile(q), mode, k, true, false)
 }
 
 // SearchBestEffortContext is SearchContextEpoch (or SearchBruteForceContext
@@ -501,7 +496,7 @@ func (ix *Index) SearchBruteForceContext(ctx context.Context, q *table.Table, mo
 // request (core.IsBudgetExpiry). With a live context the output is exactly
 // the non-best-effort variant's and partial is false.
 func (ix *Index) SearchBestEffortContext(ctx context.Context, q *table.Table, mode Mode, k int, brute bool) (results []Result, epoch uint64, partial bool, err error) {
-	results, epoch, err = ix.searchImpl(ctx, ix.queryProfile(q), mode, k, brute, true)
+	results, epoch, err = ix.search(ctx, ix.queryProfile(q), mode, k, brute, true)
 	return results, epoch, err != nil, err
 }
 
@@ -532,16 +527,11 @@ type colAcc struct {
 }
 
 // search is the one scoring path behind every Search variant. It returns
-// the ranked results plus the epoch of the snapshot it pinned.
-func (ix *Index) search(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute bool) ([]Result, uint64, error) {
-	return ix.searchImpl(ctx, qp, mode, k, brute, false)
-}
-
-// searchImpl additionally supports best-effort mode: a context error
-// mid-scoring merges whatever query columns completed (unfinished ones
-// contribute nothing) and returns the partial ranking alongside the error,
-// instead of dropping it.
-func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) ([]Result, uint64, error) {
+// the ranked results plus the epoch of the snapshot it pinned. In
+// best-effort mode a context error mid-scoring merges whatever query
+// columns completed (unfinished ones contribute nothing) and returns the
+// partial ranking alongside the error, instead of dropping it.
+func (ix *Index) search(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) ([]Result, uint64, error) {
 	if mode != ModeJoin && mode != ModeUnion {
 		return nil, 0, fmt.Errorf("discovery: mode %q is not join|union", mode)
 	}

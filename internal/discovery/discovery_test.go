@@ -1,10 +1,12 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"valentine/internal/core"
 
 	"valentine/internal/matchers/lshmatch"
 	"valentine/internal/table"
@@ -153,7 +155,7 @@ func TestSearchAgreesWithPairwiseMatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := m.Match(q, pairwise)
+	matches, err := core.MatchWithContext(context.Background(), m, nil, q, pairwise)
 	if err != nil {
 		t.Fatal(err)
 	}

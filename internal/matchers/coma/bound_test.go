@@ -1,6 +1,7 @@
 package coma
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -57,7 +58,7 @@ func TestScoreBoundAdmissible(t *testing.T) {
 			src, tgt := fuzzPair(rng)
 			sp, tp := core.ProfilePair(nil, src, tgt)
 			bound := cm.ScoreBoundProfiles(sp, tp)
-			matches, err := core.MatchWith(m, sp, tp)
+			matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 			if err != nil {
 				t.Fatalf("%s trial %d: %v", mode, trial, err)
 			}

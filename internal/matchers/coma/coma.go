@@ -113,29 +113,11 @@ type element struct {
 	sampleIDs *intern.Set
 }
 
-// Match implements core.Matcher.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: name tokens, distinct-value
-// samples and column statistics come from the profiles' caches instead of
-// being recomputed per call.
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path: element construction is the generate stage, then the matcher
-// library runs over every cross pair on the engine pool; pairs under the
-// accept threshold count as pruned.
+// MatchProfilesContext implements core.Matcher. Name tokens, distinct-value
+// samples and column statistics come from the profiles' caches; element
+// construction is the generate stage, then the matcher library runs over
+// every cross pair on the engine pool; pairs under the accept threshold count
+// as pruned.
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err

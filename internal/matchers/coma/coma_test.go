@@ -1,6 +1,7 @@
 package coma
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -72,11 +73,11 @@ func TestThresholdFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := m.Match(pair.Source, pair.Target)
+	ms, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := schemaM(t).Match(pair.Source, pair.Target)
+	all, err := core.MatchWithContext(context.Background(), schemaM(t), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +136,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := schemaM(t).Match(bad, good); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), schemaM(t), nil, bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := instanceM(t).Match(good, bad); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), instanceM(t), nil, good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

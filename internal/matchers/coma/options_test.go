@@ -1,6 +1,7 @@
 package coma
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -30,7 +31,7 @@ func TestAggregationOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := m.Match(pair.Source, pair.Target)
+		ms, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +60,11 @@ func TestDirectionForwardDiffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := both.Match(pair.Source, pair.Target)
+	mb, err := core.MatchWithContext(context.Background(), both, nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := fwd.Match(pair.Source, pair.Target)
+	mf, err := core.MatchWithContext(context.Background(), fwd, nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

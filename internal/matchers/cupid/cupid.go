@@ -46,30 +46,11 @@ func New(p core.Params) (core.Matcher, error) {
 // Name implements core.Matcher.
 func (m *Matcher) Name() string { return "cupid" }
 
-// Match implements core.Matcher.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: column- and table-name
-// tokens come from the profiles' caches instead of being re-tokenized per
-// call.
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path. Pass 1 (the linguistic similarity matrix, Cupid's dominant
-// cost) fans out one source row at a time on the engine pool; pass 2 is a
-// cheap sequential reduction over the matrices; the final wsim emission runs
-// through the engine's pair scorer.
+// MatchProfilesContext implements core.Matcher. Column- and table-name tokens
+// come from the profiles' caches. Pass 1 (the linguistic similarity matrix,
+// Cupid's dominant cost) fans out one source row at a time on the engine
+// pool; pass 2 is a cheap sequential reduction over the matrices; the final
+// wsim emission runs through the engine's pair scorer.
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package cupid
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -41,7 +42,7 @@ func TestSynonymColumnsMatch(t *testing.T) {
 	tgt := table.New("b")
 	tgt.AddColumn("customer", []string{"p", "q"})
 	tgt.AddColumn("road", []string{"9 Elm St", "4 Pine Rd"})
-	ms, err := newM(t, core.Params{"th_accept": 0.0}).Match(src, tgt)
+	ms, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"th_accept": 0.0}), nil, src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestSynonymColumnsMatch(t *testing.T) {
 
 func TestThAcceptFilters(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioUnionable, fabrication.Variant{})
-	all, err := newM(t, core.Params{"th_accept": 0.0}).Match(pair.Source, pair.Target)
+	all, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"th_accept": 0.0}), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := newM(t, core.Params{"th_accept": 0.9}).Match(pair.Source, pair.Target)
+	strict, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"th_accept": 0.9}), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func TestStructuralWeightSensitivity(t *testing.T) {
 	// Different w_struct values must actually change scores (the Table III
 	// sensitivity experiment depends on it).
 	pair := matchertest.Pair(t, core.ScenarioUnionable, fabrication.Variant{NoisySchema: true})
-	m0, err := newM(t, core.Params{"w_struct": 0.0, "th_accept": 0.0}).Match(pair.Source, pair.Target)
+	m0, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"w_struct": 0.0, "th_accept": 0.0}), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m6, err := newM(t, core.Params{"w_struct": 0.6, "th_accept": 0.0}).Match(pair.Source, pair.Target)
+	m6, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"w_struct": 0.6, "th_accept": 0.0}), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +142,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package distribution
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -77,7 +78,7 @@ func TestDistributionBoundAdmissible(t *testing.T) {
 		src, tgt := boundFuzzPair(rng)
 		sp, tp := core.ProfilePair(nil, src, tgt)
 		bound := dm.ScoreBoundProfiles(sp, tp)
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -125,7 +126,7 @@ func TestDistributionBoundPrunesDisjointRanges(t *testing.T) {
 	if bound >= 0.5 {
 		t.Fatalf("theta-pruned pair bound = %v, want < 0.5", bound)
 	}
-	matches, err := core.MatchWith(m, sp2, tp2)
+	matches, err := core.MatchProfilesWithContext(context.Background(), m, sp2, tp2)
 	if err != nil {
 		t.Fatal(err)
 	}

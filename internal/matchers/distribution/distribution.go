@@ -25,7 +25,6 @@ import (
 	"valentine/internal/engine"
 	"valentine/internal/lp"
 	"valentine/internal/profile"
-	"valentine/internal/table"
 )
 
 // Matcher is a configured distribution-based instance.
@@ -61,31 +60,13 @@ type columnDist struct {
 	quant  []float64 // quantile sketch of ranks
 }
 
-// Match implements core.Matcher.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: the global value universe
-// is built from each profile's cached parsed distinct values (trim, lower,
-// numeric parse happen once per column, not once per Match call).
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path, and the matcher whose phases map onto the engine pipeline
-// most literally: distribution construction is the generate stage, the
-// phase-1 quantile-sketch EMD is the prune stage (both EMD sweeps fan out on
-// the pool), the phase-2 refinement over full rank distributions is the
-// score stage, and consolidation + sort are the rank stage.
+// MatchProfilesContext implements core.Matcher, and is the matcher whose
+// phases map onto the engine pipeline most literally: distribution
+// construction (from each profile's cached parsed distinct values) is the
+// generate stage, the phase-1 quantile-sketch EMD is the prune stage (both
+// EMD sweeps fan out on the pool), the phase-2 refinement over full rank
+// distributions is the score stage, and consolidation + sort are the rank
+// stage.
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err

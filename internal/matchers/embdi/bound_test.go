@@ -1,6 +1,7 @@
 package embdi
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -52,7 +53,7 @@ func TestScoreBoundAdmissible(t *testing.T) {
 		m := mi.(*Matcher)
 		sp, tp := core.ProfilePair(nil, src, tgt)
 		bound := m.ScoreBoundProfiles(sp, tp)
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -174,32 +174,13 @@ func (g *tripartite) walk(start string, length int, rng *rand.Rand) []string {
 	return sentence
 }
 
-// Match implements core.Matcher.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher. EmbDI trains pair-local
-// embeddings by walking raw cells, so there is no per-column derived data
-// to reuse — the profiled path exists for uniform dispatch (ensembles, the
-// experiment runner) rather than for caching.
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path. Graph construction, the random walks and word2vec training
-// consume one sequential RNG stream (parallelizing them would change the
-// trained embeddings), so the engine contributes cancellation checks between
-// those stages and between walk batches; the final cosine scoring fans out
-// on the pool.
+// MatchProfilesContext implements core.Matcher. EmbDI trains pair-local
+// embeddings by walking raw cells, so it reads only the profiles' tables.
+// Graph construction, the random walks and word2vec training consume one
+// sequential RNG stream (parallelizing them would change the trained
+// embeddings), so the engine contributes cancellation checks between those
+// stages and between walk batches; the final cosine scoring fans out on the
+// pool.
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err

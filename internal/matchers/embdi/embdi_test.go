@@ -1,6 +1,7 @@
 package embdi
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestSharedValuesDriveSimilarity(t *testing.T) {
 	tgt := table.New("b")
 	tgt.AddColumn("hue", vals)
 	tgt.AddColumn("num", nums)
-	ms, err := newM(t, core.Params{"walks_per_node": 20, "epochs": 6}).Match(src, tgt)
+	ms, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"walks_per_node": 20, "epochs": 6}), nil, src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestSharedValuesDriveSimilarity(t *testing.T) {
 
 func TestDeterministicForSeed(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioJoinable, fabrication.Variant{})
-	m1, err := newM(t, core.Params{"seed": 5}).Match(pair.Source, pair.Target)
+	m1, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"seed": 5}), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := newM(t, core.Params{"seed": 5}).Match(pair.Source, pair.Target)
+	m2, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"seed": 5}), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +173,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

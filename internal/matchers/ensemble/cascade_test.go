@@ -165,18 +165,6 @@ type slowMatcher struct {
 
 func (s *slowMatcher) Name() string { return "slow-stub" }
 
-func (s *slowMatcher) Match(source, target *table.Table) ([]core.Match, error) {
-	if s.fail {
-		return nil, fmt.Errorf("stub failure")
-	}
-	time.Sleep(s.block)
-	return []core.Match{{
-		SourceTable: source.Name, SourceColumn: source.Columns[0].Name,
-		TargetTable: target.Name, TargetColumn: target.Columns[0].Name,
-		Score: 0.5,
-	}}, nil
-}
-
 func (s *slowMatcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if s.fail {
 		return nil, fmt.Errorf("stub failure")
@@ -186,7 +174,12 @@ func (s *slowMatcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return s.Match(sp.Table(), tp.Table())
+	source, target := sp.Table(), tp.Table()
+	return []core.Match{{
+		SourceTable: source.Name, SourceColumn: source.Columns[0].Name,
+		TargetTable: target.Name, TargetColumn: target.Columns[0].Name,
+		Score: 0.5,
+	}}, nil
 }
 
 // zeroBoundMatcher always bounds to zero — an unreachable member.

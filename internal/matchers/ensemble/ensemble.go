@@ -89,34 +89,14 @@ func (e *Matcher) Name() string {
 	return "ensemble(" + strings.Join(names, "+") + ")"
 }
 
-// Match implements core.Matcher: every member ranks the pair; rankings are
-// fused into a single ranked list covering every cross-table column pair.
-// The pair is profiled once and shared across all members, so derived
-// column data (distinct sets, tokens, signatures, statistics) is computed
-// once instead of once per member.
-func (e *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return e.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: members that are
-// profile-aware consume the shared profiles directly; the rest fall back to
-// their plain Match path.
-func (e *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return e.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (e *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return e.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path: members run concurrently on the engine pool (each member's
-// own scoring additionally fans out under the same options), and their
-// rankings are fused sequentially in member order, so the fused scores are
-// bit-identical to the old one-member-at-a-time loop at any parallelism.
+// MatchProfilesContext implements core.Matcher: every member ranks the shared
+// profiled pair, so derived column data (distinct sets, tokens, signatures,
+// statistics) is computed once instead of once per member, and the rankings
+// are fused into a single ranked list covering every cross-table column pair.
+// Members run concurrently on the engine pool (each member's own scoring
+// additionally fans out under the same options), and their rankings are fused
+// sequentially in member order, so the fused scores are bit-identical to a
+// one-member-at-a-time loop at any parallelism.
 func (e *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err

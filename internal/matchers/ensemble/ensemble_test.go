@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestEnsembleCoversAllPairsAndRanks(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioUnionable, fabrication.Variant{NoisySchema: true})
 	for _, fusion := range []string{"score", "rrf"} {
 		e := buildEnsemble(t, fusion, experiment.MethodComaSchema, experiment.MethodDistribution)
-		ms, err := e.Match(pair.Source, pair.Target)
+		ms, err := core.MatchWithContext(context.Background(), e, nil, pair.Source, pair.Target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestScoreFusionWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := m1.Match(src, tgt)
+	solo, err := core.MatchWithContext(context.Background(), m1, nil, src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestScoreFusionWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := e.Match(src, tgt)
+	fused, err := core.MatchWithContext(context.Background(), e, nil, src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +151,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := e.Match(bad, good); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), e, nil, bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := e.Match(good, bad); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), e, nil, good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

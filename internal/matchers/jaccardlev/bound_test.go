@@ -47,7 +47,7 @@ func TestScoreBoundAdmissible(t *testing.T) {
 		src, tgt := fuzzPair(rng)
 		sp, tp := core.ProfilePair(nil, src, tgt)
 		bound := jm.ScoreBoundProfiles(sp, tp)
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

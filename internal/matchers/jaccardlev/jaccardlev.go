@@ -13,7 +13,6 @@ import (
 	"valentine/internal/intern"
 	"valentine/internal/profile"
 	"valentine/internal/strutil"
-	"valentine/internal/table"
 )
 
 // Matcher is the Jaccard-Levenshtein baseline.
@@ -40,29 +39,12 @@ func New(p core.Params) (core.Matcher, error) {
 // Name implements core.Matcher.
 func (m *Matcher) Name() string { return "jaccard-levenshtein" }
 
-// Match ranks every cross-table column pair by fuzzy Jaccard similarity.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: the per-column sorted
-// distinct values come from the profiles' caches.
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path: per-column distinct-value samples (plus their interned-id
-// form and length-sorted fuzzy candidates) are generated once up front,
-// then the quadratic fuzzy-Jaccard scoring fans out on the engine's worker
-// pool with no per-pair allocation.
+// MatchProfilesContext implements core.Matcher: it ranks every cross-table
+// column pair by fuzzy Jaccard similarity. Per-column distinct-value samples
+// (from the profiles' cached sorted distinct values, plus their interned-id
+// form and length-sorted fuzzy candidates) are generated once up front, then
+// the quadratic fuzzy-Jaccard scoring fans out on the engine's worker pool
+// with no per-pair allocation.
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package jaccardlev
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -106,12 +107,12 @@ func TestInternedPrescreenMatchesMapPath(t *testing.T) {
 	tgt.AddColumn("x", vals(80, 20))
 	tgt.AddColumn("y", vals(80, 500))
 	m := newM(t, core.Params{"threshold": 0.6})
-	plain, err := core.MatchWith(m, profile.New(src), profile.New(tgt))
+	plain, err := core.MatchProfilesWithContext(context.Background(), m, profile.New(src), profile.New(tgt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp, tp := profile.NewPair(src, tgt)
-	interned, err := core.MatchWith(m, sp, tp)
+	interned, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +153,10 @@ func TestMatchValidatesInput(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package lshmatch
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -36,7 +37,7 @@ func TestScoreBoundZeroImpliesZeroScores(t *testing.T) {
 		if bound != 0 {
 			continue
 		}
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

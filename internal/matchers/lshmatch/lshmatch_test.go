@@ -1,6 +1,7 @@
 package lshmatch
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestCandidatePruning(t *testing.T) {
 	src.AddColumn("x", manyValues("left", 200))
 	tgt := table.New("b")
 	tgt.AddColumn("y", manyValues("right", 200))
-	ms, err := newM(t, core.Params{"include_misses": 0}).Match(src, tgt)
+	ms, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"include_misses": 0}), nil, src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestCandidatePruning(t *testing.T) {
 	// Shared values: candidate must surface.
 	tgt2 := table.New("c")
 	tgt2.AddColumn("x2", manyValues("left", 200))
-	ms2, err := newM(t, core.Params{"include_misses": 0}).Match(src, tgt2)
+	ms2, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"include_misses": 0}), nil, src, tgt2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestCandidatePruning(t *testing.T) {
 
 func TestIncludeMissesCoversAllPairs(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioViewUnionable, fabrication.Variant{})
-	ms, err := newM(t, nil).Match(pair.Source, pair.Target)
+	ms, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +111,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

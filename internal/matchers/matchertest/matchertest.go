@@ -4,6 +4,7 @@
 package matchertest
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -92,7 +93,7 @@ func Pair(t *testing.T, scenario string, v fabrication.Variant) core.TablePair {
 // Recall runs the matcher on the pair and returns Recall@GroundTruth.
 func Recall(t *testing.T, m core.Matcher, pair core.TablePair) float64 {
 	t.Helper()
-	ms, err := m.Match(pair.Source, pair.Target)
+	ms, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", m.Name(), pair.Name, err)
 	}
@@ -116,7 +117,7 @@ func RequireRecallAtLeast(t *testing.T, m core.Matcher, pair core.TablePair, min
 // drift), table names filled, and referenced columns existing.
 func CheckMatchInvariants(t *testing.T, m core.Matcher, pair core.TablePair) {
 	t.Helper()
-	ms, err := m.Match(pair.Source, pair.Target)
+	ms, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatalf("%s: %v", m.Name(), err)
 	}

@@ -1,6 +1,7 @@
 package semprop
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestScoreBoundAdmissible(t *testing.T) {
 		tgt := fuzzTable(rng, "compounds", 20+rng.Intn(40))
 		sp, tp := core.ProfilePair(nil, src, tgt)
 		bound := m.ScoreBoundProfiles(sp, tp)
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -19,7 +19,6 @@ import (
 	"valentine/internal/engine"
 	"valentine/internal/ontology"
 	"valentine/internal/profile"
-	"valentine/internal/table"
 )
 
 // Matcher is a configured SemProp instance.
@@ -64,28 +63,10 @@ type classLink struct {
 	cos     float64
 }
 
-// Match implements core.Matcher.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: name tokens and MinHash
-// signatures come from the profiles' caches instead of being recomputed per
-// call.
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path: ontology linking is the generate stage, then the
-// semantic/syntactic pair scoring fans out on the engine pool.
+// MatchProfilesContext implements core.Matcher. Name tokens and MinHash
+// signatures come from the profiles' caches; ontology linking is the generate
+// stage, then the semantic/syntactic pair scoring fans out on the engine
+// pool.
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package semprop
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -51,7 +52,7 @@ func TestSemanticBandRanksLinkedPairs(t *testing.T) {
 	tgt := table.New("assays_b")
 	tgt.AddColumn("species", []string{"Rattus norvegicus", "Canis familiaris"})
 	tgt.AddColumn("activity", []string{"1.1", "2.2"})
-	ms, err := newM(t, core.Params{"sem_threshold": 0.4}).Match(src, tgt)
+	ms, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"sem_threshold": 0.4}), nil, src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSyntacticFallbackUsesValueOverlap(t *testing.T) {
 	tgt := table.New("y")
 	tgt.AddColumn("colr", vals)
 	tgt.AddColumn("cols", []string{"9", "10", "11", "12", "13", "14", "15", "16"})
-	ms, err := newM(t, nil).Match(src, tgt)
+	ms, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +131,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package simflood
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -60,7 +61,7 @@ func TestScoreBoundAdmissible(t *testing.T) {
 		m.StableMarriage = trial%2 == 1
 		sp, tp := core.ProfilePair(nil, src, tgt)
 		bound := m.ScoreBoundProfiles(sp, tp)
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,6 +1,7 @@
 package simflood
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -22,7 +23,7 @@ func TestStableMarriageSelection(t *testing.T) {
 	}
 
 	// The selected matching occupies the top band and is 1-1.
-	ms, err := sm.Match(pair.Source, pair.Target)
+	ms, err := core.MatchWithContext(context.Background(), sm, nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

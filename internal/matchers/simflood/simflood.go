@@ -105,32 +105,12 @@ func splitID(id string) (kind, label string) {
 	return "", id
 }
 
-// Match implements core.Matcher.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher. Similarity Flooding's
-// schema graphs are built from column names and types only — there is no
-// per-column derived data to reuse — so the profiled path exists for
-// uniform dispatch (ensembles, the experiment runner) rather than for
-// caching.
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path. The fixpoint iteration is inherently sequential (each round
-// reads the previous round's similarities), so the engine contributes
-// cancellation: the flood polls ctx between iterations and a canceled
-// context abandons the partial fixpoint and returns ctx.Err().
+// MatchProfilesContext implements core.Matcher. Similarity Flooding's schema
+// graphs are built from column names and types only, so it reads only the
+// profiles' tables. The fixpoint iteration is inherently sequential (each
+// round reads the previous round's similarities), so the engine contributes
+// cancellation: the flood polls ctx between iterations and a canceled context
+// abandons the partial fixpoint and returns ctx.Err().
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package simflood
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -86,7 +87,7 @@ func TestInitialSim(t *testing.T) {
 
 func TestOnlyColumnPairsReturned(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioUnionable, fabrication.Variant{})
-	ms, err := newM(t, nil).Match(pair.Source, pair.Target)
+	ms, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestOnlyColumnPairsReturned(t *testing.T) {
 
 func TestFormulasProduceDifferentRankings(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioUnionable, fabrication.Variant{NoisySchema: true})
-	a, err := newM(t, core.Params{"formula": "basic"}).Match(pair.Source, pair.Target)
+	a, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"formula": "basic"}), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := newM(t, core.Params{"formula": "C"}).Match(pair.Source, pair.Target)
+	c, err := core.MatchWithContext(context.Background(), newM(t, core.Params{"formula": "C"}), nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +137,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := core.MatchWithContext(context.Background(), newM(t, nil), nil, good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

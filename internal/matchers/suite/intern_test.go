@@ -9,6 +9,7 @@ package suite
 // exercises concurrent interning through the store's parallel Warm.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -60,11 +61,11 @@ func TestInternedKernelsConformance(t *testing.T) {
 		store := profile.NewStore()
 		store.Warm(src, tgt) // parallel warm: concurrent interning under -race
 		for name, m := range matchers {
-			plain, err := core.MatchWith(m, profile.New(src), profile.New(tgt))
+			plain, err := core.MatchProfilesWithContext(context.Background(), m, profile.New(src), profile.New(tgt))
 			if err != nil {
 				t.Fatalf("trial %d %s (map path): %v", trial, name, err)
 			}
-			interned, err := core.MatchWith(m, store.Of(src), store.Of(tgt))
+			interned, err := core.MatchProfilesWithContext(context.Background(), m, store.Of(src), store.Of(tgt))
 			if err != nil {
 				t.Fatalf("trial %d %s (interned path): %v", trial, name, err)
 			}

@@ -1,42 +1,19 @@
 package suite
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
 	"valentine/internal/datagen"
-	"valentine/internal/experiment"
 	"valentine/internal/fabrication"
 	"valentine/internal/profile"
 )
 
-// TestAllMatchersAreProfiled: every registered method (including the LSH
-// extension) must implement the core.ProfiledMatcher extension interface,
-// so ensembles, the experiment runner and discover can dispatch every
-// method through one shared profile store.
-func TestAllMatchersAreProfiled(t *testing.T) {
-	reg := experiment.NewRegistry()
-	grids := experiment.QuickGrids()
-	names := append(experiment.MethodNames(), experiment.MethodLSH)
-	for _, name := range names {
-		var p core.Params
-		if g, ok := grids[name]; ok {
-			p = g[0]
-		}
-		m, err := reg.New(name, p)
-		if err != nil {
-			t.Fatalf("instantiating %s: %v", name, err)
-		}
-		if _, ok := m.(core.ProfiledMatcher); !ok {
-			t.Errorf("%s does not implement core.ProfiledMatcher", name)
-		}
-	}
-}
-
-// TestProfiledPathBitIdentical: for every method, MatchProfiles over a
-// shared, pre-warmed profile store must return exactly the ranking Match
-// returns on the raw tables — the profile layer deduplicates work, it must
-// never change a score. The fixture exercises real instance data (value
+// TestProfiledPathBitIdentical: for every method, scoring over a shared,
+// pre-warmed profile store must return exactly the ranking one-shot
+// profiles of the raw tables (a nil store: profile.NewPair) yield — the profile layer
+// deduplicates work, it must never change a score. The fixture exercises real instance data (value
 // overlap, statistics, signatures), not just names.
 func TestProfiledPathBitIdentical(t *testing.T) {
 	src := datagen.TPCDI(datagen.Options{Rows: 60, Seed: 3})
@@ -48,11 +25,11 @@ func TestProfiledPathBitIdentical(t *testing.T) {
 	store.Warm(pair.Source, pair.Target)
 	for name, m := range allMatchers(t) {
 		t.Run(name, func(t *testing.T) {
-			plain, err := m.Match(pair.Source, pair.Target)
+			plain, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 			if err != nil {
 				t.Fatal(err)
 			}
-			profiled, err := core.MatchWith(m, store.Of(pair.Source), store.Of(pair.Target))
+			profiled, err := core.MatchProfilesWithContext(context.Background(), m, store.Of(pair.Source), store.Of(pair.Target))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@
 package suite
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestAllMatchersSurviveEdgeCases(t *testing.T) {
 			t.Run(name+"/"+ec.name, func(t *testing.T) {
 				src := ec.src.Clone()
 				tgt := ec.tgt.Clone()
-				matches, err := m.Match(src, tgt)
+				matches, err := core.MatchWithContext(context.Background(), m, nil, src, tgt)
 				if err != nil {
 					t.Fatalf("errored: %v", err)
 				}
@@ -138,11 +139,11 @@ func TestAllMatchersDeterministic(t *testing.T) {
 
 	for name, m := range allMatchers(t) {
 		t.Run(name, func(t *testing.T) {
-			r1, err := m.Match(src, tgt)
+			r1, err := core.MatchWithContext(context.Background(), m, nil, src, tgt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := m.Match(src, tgt)
+			r2, err := core.MatchWithContext(context.Background(), m, nil, src, tgt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +173,7 @@ func TestAllMatchersDoNotMutateInput(t *testing.T) {
 			src, tgt := mkSrc(), mkSrc()
 			tgt.Name = "t"
 			wantSrc, wantTgt := src.Clone(), tgt.Clone()
-			if _, err := m.Match(src, tgt); err != nil {
+			if _, err := core.MatchWithContext(context.Background(), m, nil, src, tgt); err != nil {
 				t.Fatal(err)
 			}
 			for i := range wantSrc.Columns {
@@ -211,7 +212,7 @@ func TestIdentityPairRanksSelfMatchesFirst(t *testing.T) {
 	}
 	for name, m := range allMatchers(t) {
 		t.Run(name, func(t *testing.T) {
-			matches, err := m.Match(src, tgt)
+			matches, err := core.MatchWithContext(context.Background(), m, nil, src, tgt)
 			if err != nil {
 				t.Fatal(err)
 			}

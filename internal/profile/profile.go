@@ -3,7 +3,7 @@
 // index consume — distinct value sets, sorted distinct values, name tokens,
 // trimmed/lowercased/parsed value forms, numeric vectors, summary statistics
 // and MinHash signatures — is computed at most once per column and cached
-// here, instead of being re-derived by every matcher on every Match call.
+// here, instead of being re-derived by every matcher on every match call.
 //
 // A Profile is lazy (nothing is computed until first use) and
 // concurrency-safe (each artifact is guarded by a sync.Once, signatures by a
@@ -372,8 +372,8 @@ func NewHashSharing(t *table.Table, d *intern.Dict) *TableProfile {
 }
 
 // NewPair profiles two tables against one fresh private dictionary, so a
-// one-shot pairwise match (the store-less Match path) still runs on the
-// integer-set kernels. The dictionary's lifetime is the pair's.
+// one-shot pairwise match (core.MatchWithContext with a nil store) still
+// runs on the integer-set kernels. The dictionary's lifetime is the pair's.
 func NewPair(source, target *table.Table) (*TableProfile, *TableProfile) {
 	d := intern.NewDict()
 	return newWith(source, d, false), newWith(target, d, false)

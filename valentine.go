@@ -26,7 +26,8 @@
 //	src, _ := valentine.ReadCSVFile("a.csv")
 //	tgt, _ := valentine.ReadCSVFile("b.csv")
 //	m, _ := valentine.NewMatcher(valentine.MethodComaSchema, nil)
-//	matches, _ := m.Match(src, tgt)
+//	matches, _ := valentine.MatchWithContext(context.Background(), m, src, tgt,
+//		valentine.EngineOptions{})
 //	for _, match := range matches[:5] {
 //		fmt.Println(match)
 //	}

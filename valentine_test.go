@@ -18,7 +18,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := m.Match(pair.Source, pair.Target)
+	matches, err := MatchWithContext(context.Background(), m, pair.Source, pair.Target, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
