@@ -12,6 +12,11 @@
 //
 //   - Word2Vec: a full skip-gram-with-negative-sampling trainer used by the
 //     EmbDI matcher on its random-walk sentences, implemented from scratch.
+//     EmbDI trains a model per table pair, so the kernel is kept
+//     cache-resident: flat vector matrices, a table-free unigram sampler
+//     (prefix sums plus a coarse bucket index, drawing the same words a
+//     materialized 2^17-slot table would), Mikolov's precomputed EXP_TABLE
+//     for the logistic, and a four-lane dot product.
 package embedding
 
 import (

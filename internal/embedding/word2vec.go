@@ -45,10 +45,9 @@ func (o *Word2VecOptions) defaults() {
 
 // Model holds trained word vectors.
 type Model struct {
-	dim    int
-	vocab  map[string]int
-	vecs   []Vector // input vectors, one per vocab entry
-	counts []int
+	dim   int
+	vocab map[string]int
+	vecs  []Vector // input vectors, one per vocab entry, slicing one flat array
 }
 
 // Dim returns the vector dimensionality.
@@ -79,6 +78,12 @@ func (m *Model) Similarity(a, b string) float64 {
 
 // TrainWord2Vec trains skip-gram word vectors with negative sampling over
 // the sentences. Deterministic for a fixed seed.
+//
+// The kernel keeps its working set small enough to stay in cache: the input
+// and output vectors are one flat array each, negatives are drawn from the
+// unigram^{3/4} distribution by a table-free sampler (see newUnigramSampler)
+// instead of a materialized 2^17-slot table, and the logistic is read from
+// Mikolov's precomputed EXP_TABLE rather than computed with math.Exp.
 func TrainWord2Vec(sentences [][]string, opts Word2VecOptions) (*Model, error) {
 	opts.defaults()
 	// Build vocabulary.
@@ -108,18 +113,21 @@ func TrainWord2Vec(sentences [][]string, opts Word2VecOptions) (*Model, error) {
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
+	dim := opts.Dim
+	inFlat := make([]float64, len(words)*dim)
+	outFlat := make([]float64, len(words)*dim)
+	for i := range inFlat {
+		inFlat[i] = (rng.Float64() - 0.5) / float64(dim)
+	}
 	in := make([]Vector, len(words))
 	out := make([]Vector, len(words))
 	for i := range in {
-		in[i] = make(Vector, opts.Dim)
-		out[i] = make(Vector, opts.Dim)
-		for d := 0; d < opts.Dim; d++ {
-			in[i][d] = (rng.Float64() - 0.5) / float64(opts.Dim)
-		}
+		in[i] = inFlat[i*dim : (i+1)*dim : (i+1)*dim]
+		out[i] = outFlat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 
-	// Negative-sampling table with the standard unigram^{3/4} distribution.
-	table := buildUnigramTable(counts, 1<<17, 0.75)
+	// Negative sampling with the standard unigram^{3/4} distribution.
+	neg := newUnigramSampler(counts, 1<<17, 0.75)
 
 	// Encode sentences as index sequences once.
 	encoded := make([][]int, 0, len(sentences))
@@ -144,7 +152,7 @@ func TrainWord2Vec(sentences [][]string, opts Word2VecOptions) (*Model, error) {
 	}
 	totalSteps *= opts.Epochs
 	step := 0
-	grad := make(Vector, opts.Dim)
+	grad := make(Vector, dim)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		for _, seq := range encoded {
 			for pos, center := range seq {
@@ -166,63 +174,137 @@ func TrainWord2Vec(sentences [][]string, opts Word2VecOptions) (*Model, error) {
 						continue
 					}
 					ctx := seq[c]
-					for i := range grad {
-						grad[i] = 0
-					}
+					clear(grad)
 					// positive sample
 					sgdStep(in[center], out[ctx], 1, alpha, grad)
 					// negative samples
 					for k := 0; k < opts.Negative; k++ {
-						neg := table[rng.Intn(len(table))]
-						if neg == ctx {
+						n := neg.sample(rng.Intn(neg.slots))
+						if n == ctx {
 							continue
 						}
-						sgdStep(in[center], out[neg], 0, alpha, grad)
+						sgdStep(in[center], out[n], 0, alpha, grad)
 					}
 					Add(in[center], grad)
 				}
 			}
 		}
 	}
-	return &Model{dim: opts.Dim, vocab: vocab, vecs: in, counts: counts}, nil
+	return &Model{dim: dim, vocab: vocab, vecs: in}, nil
 }
 
 // sgdStep performs one logistic-regression update for (center, context)
 // with label ∈ {0,1}, updating the output vector in place and accumulating
-// the input-vector gradient into grad.
+// the input-vector gradient into grad. context and grad are re-sliced to
+// len(center) so the loop below runs without bounds checks.
 func sgdStep(center, context Vector, label float64, alpha float64, grad Vector) {
-	f := Dot(center, context)
-	g := (label - sigmoid(f)) * alpha
-	for i := range context {
+	context = context[:len(center)]
+	grad = grad[:len(center)]
+	g := (label - sigmoid(dot4(center, context))) * alpha
+	for i, c := range center {
 		grad[i] += g * context[i]
-		context[i] += g * center[i]
+		context[i] += g * c
 	}
 }
 
-func sigmoid(x float64) float64 {
-	if x > 8 {
-		return 1
+// dot4 is the inner product of two equal-length vectors summed in four
+// independent lanes, which lets the CPU overlap the additions that a single
+// accumulator would serialize. The lanes change the rounding, not the
+// determinism: the summation order is fixed.
+func dot4(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	for len(a) >= 4 && len(b) >= 4 {
+		s0 += a[0] * b[0]
+		s1 += a[1] * b[1]
+		s2 += a[2] * b[2]
+		s3 += a[3] * b[3]
+		a, b = a[4:], b[4:]
 	}
-	if x < -8 {
+	for i, x := range a {
+		s0 += x * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// Mikolov's EXP_TABLE: the logistic tabulated over expTableSize buckets of
+// [-maxExp, maxExp]. Entry i holds σ at the centre of its bucket, not at
+// the left edge as word2vec.c does: the error is then unbiased and at most
+// half as large (0.0015), for the same lookup.
+const (
+	expTableSize = 1000
+	maxExp       = 6
+)
+
+var expTable = func() (t [expTableSize]float64) {
+	for i := range t {
+		e := math.Exp(((float64(i)+0.5)/expTableSize*2 - 1) * maxExp)
+		t[i] = e / (e + 1)
+	}
+	return t
+}()
+
+// sigmoid is the logistic 1/(1+e^-x) read from expTable, clamped to 0 and 1
+// outside [-maxExp, maxExp] (NaN reads as 0).
+func sigmoid(x float64) float64 {
+	switch {
+	case x >= maxExp:
+		return 1
+	case x > -maxExp:
+		// x just below maxExp can round to the end of the table.
+		i := int((x + maxExp) * (float64(expTableSize) / (2 * maxExp)))
+		return expTable[min(i, expTableSize-1)]
+	default:
 		return 0
 	}
-	return 1 / (1 + math.Exp(-x))
 }
 
-func buildUnigramTable(counts []int, size int, power float64) []int {
+// unigramSampler draws negatives from the unigram^power distribution. It
+// maps a slot r ∈ [0, slots) to the same word a materialized table of
+// ceil(count_i^power / total · size) copies of each word i would hold at
+// r, without allocating that table: ends holds the table's prefix sums and
+// first[b] the word at slot b<<samplerShift, so a draw reads one bucket
+// entry and walks the few words that start inside it. For a vocabulary of
+// a few hundred words both slices fit in L1, where the table (2^17 ints)
+// would not.
+type unigramSampler struct {
+	slots int     // total table slots: the range to draw r from
+	ends  []int32 // ends[i]: one past the last slot of word i
+	first []int32 // first[b]: the word holding slot b<<samplerShift
+}
+
+// samplerShift sets the bucket width of unigramSampler.first to 256 slots.
+const samplerShift = 8
+
+// newUnigramSampler builds the sampler for a table of the given size. The
+// counts are positive (the vocabulary holds words seen at least MinCount ≥ 1
+// times), so every word owns at least one slot.
+func newUnigramSampler(counts []int, size int, power float64) *unigramSampler {
 	total := 0.0
 	for _, c := range counts {
 		total += math.Pow(float64(c), power)
 	}
-	table := make([]int, 0, size)
+	s := &unigramSampler{ends: make([]int32, len(counts))}
 	for i, c := range counts {
-		n := int(math.Ceil(math.Pow(float64(c), power) / total * float64(size)))
-		for k := 0; k < n; k++ {
-			table = append(table, i)
+		s.slots += int(math.Ceil(math.Pow(float64(c), power) / total * float64(size)))
+		s.ends[i] = int32(s.slots)
+	}
+	s.first = make([]int32, (s.slots+1<<samplerShift-1)>>samplerShift)
+	w := int32(0)
+	for b := range s.first {
+		for s.ends[w] <= int32(b<<samplerShift) {
+			w++
 		}
+		s.first[b] = w
 	}
-	if len(table) == 0 {
-		table = append(table, 0)
+	return s
+}
+
+// sample returns the word at slot r ∈ [0, slots).
+func (s *unigramSampler) sample(r int) int {
+	w := s.first[r>>samplerShift]
+	for s.ends[w] <= int32(r) {
+		w++
 	}
-	return table
+	return int(w)
 }
