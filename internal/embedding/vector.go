@@ -15,8 +15,9 @@
 //     EmbDI trains a model per table pair, so the kernel is kept
 //     cache-resident: flat vector matrices, a table-free unigram sampler
 //     (prefix sums plus a coarse bucket index, drawing the same words a
-//     materialized 2^17-slot table would), Mikolov's precomputed EXP_TABLE
-//     for the logistic, and a four-lane dot product.
+//     materialized 2^17-slot table would), a precomputed logistic table (a
+//     centre-sampled variant of Mikolov's EXP_TABLE), and a four-lane dot
+//     product.
 package embedding
 
 import (

@@ -83,7 +83,8 @@ func (m *Model) Similarity(a, b string) float64 {
 // and output vectors are one flat array each, negatives are drawn from the
 // unigram^{3/4} distribution by a table-free sampler (see newUnigramSampler)
 // instead of a materialized 2^17-slot table, and the logistic is read from
-// Mikolov's precomputed EXP_TABLE rather than computed with math.Exp.
+// a precomputed table, a centre-sampled variant of Mikolov's EXP_TABLE (see
+// expTable), rather than computed with math.Exp.
 func TrainWord2Vec(sentences [][]string, opts Word2VecOptions) (*Model, error) {
 	opts.defaults()
 	// Build vocabulary.
@@ -227,15 +228,17 @@ func dot4(a, b []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// Mikolov's EXP_TABLE: the logistic tabulated over expTableSize buckets of
-// [-maxExp, maxExp]. Entry i holds σ at the centre of its bucket, not at
-// the left edge as word2vec.c does: the error is then unbiased and at most
-// half as large (0.0015), for the same lookup.
+// The logistic table, as in word2vec.c: 1000 entries over [-6, 6].
 const (
 	expTableSize = 1000
 	maxExp       = 6
 )
 
+// expTable is a centre-sampled variant of Mikolov's EXP_TABLE: the logistic
+// tabulated over expTableSize buckets of [-maxExp, maxExp]. Entry i holds σ
+// at the centre of its bucket, not at the left edge as word2vec.c does: the
+// error is then unbiased and at most half as large (0.0015), for the same
+// lookup.
 var expTable = func() (t [expTableSize]float64) {
 	for i := range t {
 		e := math.Exp(((float64(i)+0.5)/expTableSize*2 - 1) * maxExp)
@@ -264,9 +267,12 @@ func sigmoid(x float64) float64 {
 // ceil(count_i^power / total · size) copies of each word i would hold at
 // r, without allocating that table: ends holds the table's prefix sums and
 // first[b] the word at slot b<<samplerShift, so a draw reads one bucket
-// entry and walks the few words that start inside it. For a vocabulary of
-// a few hundred words both slices fit in L1, where the table (2^17 ints)
-// would not.
+// entry and walks the words that start inside it. For a vocabulary of a
+// few hundred words both slices fit in L1, where the table (2^17 ints)
+// would not. A larger vocabulary puts more words in a bucket and lengthens
+// the walk, but at EmbDI's default row cap (BenchmarkTrainWord2Vec/
+// max-rows, about 9300 words, some 17 words per bucket) the walk still
+// costs less than the table lookup it replaces.
 type unigramSampler struct {
 	slots int     // total table slots: the range to draw r from
 	ends  []int32 // ends[i]: one past the last slot of word i

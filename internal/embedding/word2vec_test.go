@@ -139,20 +139,45 @@ func TestDot4MatchesDot(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainWord2Vec trains on a corpus the size of an EmbDI pair from
-// the Table V suite: one walk set of length-20 sentences, 8 per node, over
-// a graph of 2×40 rows and 2×6 columns, at EmbDI's dimension 48 and 3
-// epochs.
+// BenchmarkTrainWord2Vec trains on walk corpora shaped like EmbDI's: at
+// EmbDI's dimension 48, window 3 and 3 epochs, 8 length-20 walks per row
+// and column node, each alternating between a cell value and a row or
+// column it occurs in. "table5-pair" is the size of a Table V suite pair
+// (2×40 rows, 2×6 columns, 25 values per column, about 400 words);
+// "max-rows" is EmbDI's default row cap of 400 per table with mostly
+// distinct values (about 9300 words), where the negative sampler has the
+// most words to choose from.
 func BenchmarkTrainWord2Vec(b *testing.B) {
+	for _, bc := range []struct {
+		name           string
+		rows, distinct int
+	}{
+		{"table5-pair", 80, 25},
+		{"max-rows", 800, 3200},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			corpus := walkCorpus(bc.rows, 12, bc.distinct, 8, 20)
+			opts := Word2VecOptions{Dim: 48, Window: 3, Epochs: 3, Seed: 1}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := TrainWord2Vec(corpus, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// walkCorpus starts the given number of walks, each of the given length,
+// at every row and column of a rows×cols grid whose cells each take one of
+// `distinct` values per column.
+func walkCorpus(rows, cols, distinct, walks, length int) [][]string {
 	rng := rand.New(rand.NewSource(1))
-	const rows, cols, walks, length = 80, 12, 8, 20
-	// Nodes are row ids, column ids and cell values; a walk alternates
-	// between a value and a row or column it occurs in.
 	values := make([][]string, rows)
 	for r := range values {
 		values[r] = make([]string, cols)
 		for c := range values[r] {
-			values[r][c] = fmt.Sprintf("tt__%d_%d", c, rng.Intn(25))
+			values[r][c] = fmt.Sprintf("tt__%d_%d", c, rng.Intn(distinct))
 		}
 	}
 	var corpus [][]string
@@ -173,11 +198,5 @@ func BenchmarkTrainWord2Vec(b *testing.B) {
 			corpus = append(corpus, sent)
 		}
 	}
-	opts := Word2VecOptions{Dim: 48, Window: 3, Epochs: 3, Seed: 1}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := TrainWord2Vec(corpus, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return corpus
 }
